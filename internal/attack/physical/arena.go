@@ -35,43 +35,40 @@ func ExtendArena(a *power.Arena, v AESVictim, probe *power.Probe, n int, rng *ra
 	}
 }
 
-// sboxHW[u] is HW(SBox(u)) — the CPA hypothesis table. For guess k and
-// plaintext-byte class v the model value is sboxHW[v^k].
-var sboxHW [256]int64
-
-// sboxBit0 holds the 128 byte values whose S-box output has bit 0 set —
-// the DPA selection function's preimage. For guess k, class v is
-// selected iff v^k is in this set.
-var sboxBit0 []byte
+// dpaSel and cpaHyp are the two S-box leakage models as all-guess XOR
+// tables. For guess k, a trace of plaintext-byte class v is selected by
+// DPA iff SBox(v⊕k)&1 = 1, and its CPA hypothesis is HW(SBox(v⊕k)).
+var dpaSel, cpaHyp *power.XorTable
 
 func init() {
+	var bit0, hw [256]int64
 	for u := 0; u < 256; u++ {
 		s := softcrypto.SBox(byte(u))
-		sboxHW[u] = int64(power.HW(uint32(s)))
-		if s&1 == 1 {
-			sboxBit0 = append(sboxBit0, byte(u))
+		bit0[u] = int64(s & 1)
+		hw[u] = int64(power.HW(uint32(s)))
+	}
+	dpaSel = power.NewXorTable(&bit0)
+	cpaHyp = power.NewXorTable(&hw)
+}
+
+// bestGuess returns the guess with the largest statistic, the first in
+// k order on ties.
+func bestGuess(stat *[256]float64) (byte, float64) {
+	bestK, best := byte(0), -1.0
+	for k, s := range stat {
+		if s > best {
+			bestK, best = byte(k), s
 		}
 	}
+	return bestK, best
 }
 
 // DPAByteArena recovers one key byte with the batched difference-of-means
 // distinguisher — bit-identical to DPAByte on the same recorded traces.
 func DPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
-	cs := a.ClassSumsFor(byteIdx)
-	bestK, bestD := byte(0), -1.0
-	var selected [256]bool
-	for k := 0; k < 256; k++ {
-		for i := range selected {
-			selected[i] = false
-		}
-		for _, u := range sboxBit0 {
-			selected[u^byte(k)] = true
-		}
-		if d := cs.DifferenceOfMeans(&selected); d > bestD {
-			bestK, bestD = byte(k), d
-		}
-	}
-	return bestK, bestD
+	var d [256]float64
+	a.XorDifferenceOfMeans(byteIdx, dpaSel, &d)
+	return bestGuess(&d)
 }
 
 // DPAKeyArena recovers all 16 key bytes with the batched distinguisher.
@@ -87,18 +84,9 @@ func DPAKeyArena(a *power.Arena) [16]byte {
 // against the HW(SBox(pt^k)) hypothesis — bit-identical to CPAByte on
 // the same recorded traces.
 func CPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
-	cs := a.ClassSumsFor(byteIdx)
-	bestK, bestC := byte(0), -1.0
-	var hyp [256]int64
-	for k := 0; k < 256; k++ {
-		for v := 0; v < 256; v++ {
-			hyp[v] = sboxHW[v^k]
-		}
-		if c := cs.MaxAbsPearson(&hyp); c > bestC {
-			bestK, bestC = byte(k), c
-		}
-	}
-	return bestK, bestC
+	var c [256]float64
+	a.XorMaxAbsPearson(byteIdx, cpaHyp, &c)
+	return bestGuess(&c)
 }
 
 // CPAKeyArena recovers all 16 key bytes with the batched distinguisher.

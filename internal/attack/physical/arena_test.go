@@ -130,3 +130,39 @@ func TestArenaAnalysisZeroAlloc(t *testing.T) {
 		t.Fatalf("arena regrade allocated %.1f objects/run, want 0", allocs)
 	}
 }
+
+// benchSink keeps the benchmarked calls' results live.
+var benchSink byte
+
+// benchArena records n traces of the unprotected victim for the kernel
+// benchmarks.
+func benchArena(b *testing.B, sigma float64, n int) *power.Arena {
+	b.Helper()
+	v, err := NewUnprotectedAES([]byte("sixteen byte key"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := power.NewArena(16)
+	CollectArena(a, v, power.PowerProbe(sigma, 7), n, rand.New(rand.NewSource(5)))
+	return a
+}
+
+// BenchmarkDPAByteArena is one key byte's 256-guess DPA at the sweep's
+// 1500-trace DPA floor.
+func BenchmarkDPAByteArena(b *testing.B) {
+	a := benchArena(b, 0.5, 1500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = DPAByteArena(a, i%16)
+	}
+}
+
+// BenchmarkCPAByteArena is one key byte's 256-guess CPA at the grid's
+// 96-trace budget.
+func BenchmarkCPAByteArena(b *testing.B) {
+	a := benchArena(b, 0.8, 96)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = CPAByteArena(a, i%16)
+	}
+}

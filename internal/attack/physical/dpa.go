@@ -167,11 +167,12 @@ func CorrectBytes(got [16]byte, want []byte) int {
 
 // TracesToDisclosure doubles the trace budget until CPA recovers the full
 // key (or the cap is hit) and returns the budget needed — the standard
-// countermeasure-strength metric.
+// countermeasure-strength metric. Each doubling records n fresh traces.
 func TracesToDisclosure(v AESVictim, probe *power.Probe, key []byte, cap int, rng *rand.Rand) (int, bool) {
+	a := power.NewArena(16)
 	for n := 32; n <= cap; n *= 2 {
-		ts := CollectTraces(v, probe, n, rng)
-		if CorrectBytes(CPAKey(ts), key) == 16 {
+		CollectArena(a, v, probe, n, rng)
+		if CorrectBytes(CPAKeyArena(a), key) == 16 {
 			return n, true
 		}
 	}

@@ -6,11 +6,10 @@ import "math"
 // re-walked: DPA runs 256 key guesses per byte, CPA another 256, the
 // adaptive engine regrades after every checkpoint extension. The arena
 // keeps every sample of a cell's traces int16-quantized in ONE contiguous
-// backing array and the distinguishers walk contiguous blocks of exact
-// integer sums, so a full 256-guess analysis touches a fraction of the
-// memory the float64 trace matrix costs — and, because every sum is
-// exact in int64, the results are bit-identical to the retained naive
-// float64 reference (see the equivalence argument on Quantize).
+// backing array, and the distinguishers score all 256 guesses of a key
+// byte with one Walsh–Hadamard XOR-correlation of its exact class sums —
+// so, every sum being exact in int64, the results are bit-identical to
+// the retained naive float64 reference (see Quantize).
 
 // Scale is the quantization grid of the simulated acquisition ADC: one
 // step per 1/256 of a leakage unit. It is a power of two, which is what
@@ -35,6 +34,14 @@ const maxQ = math.MaxInt16
 // The naive float64 path sums the same values scaled by 2^-8 (per y
 // factor) in a different association order; exact arithmetic makes
 // reassociation harmless, which is the whole equivalence proof.
+//
+// The all-guess kernels add one integer Walsh–Hadamard XOR-correlation
+// per key byte, which stays exact for n < 2^21 traces even at the int16
+// rails: a class sum has |S| <= n·2^15, the forward transform adds at
+// most ×2^8, a table spectrum has |WHT(f)| <= 2^11 (|f| <= 8), and the
+// inverse transform adds at most ×2^8 — below 2^63, so the final
+// division by 256 is exact. The 2^53 float64 bound above stays the
+// binding one.
 func Quantize(x float64) int16 {
 	q := math.Round(x * Scale)
 	if q > maxQ {
@@ -69,24 +76,14 @@ type Arena struct {
 	// pts caches Points(); -1 = dirty.
 	pts int
 
-	// Cached per-point Σq and Σq² over the common prefix (the
-	// hypothesis-independent Pearson terms), valid at colN traces.
+	// Cached per-point Σq, Σq² and √(nΣq² − (Σq)²) over the common
+	// prefix (the hypothesis-independent terms), valid at colN traces.
 	colN    int
 	sy, syy []int64
+	ydev    []float64
 
-	// One cached class grouping (per-plaintext-byte-value sums): valid
-	// for byte index clsIdx at clsN traces. The 256 class vectors live
-	// back to back in clsSums (class v at v*pts); totSums is the
-	// all-class per-point total the unselected partition derives from.
-	clsIdx, clsN int
-	clsCount     [256]int32
-	clsSums      []int64
-	totSums      []int64
-
-	// sel and sxy are the reused per-guess accumulators of
-	// DifferenceOfMeans and MaxAbsPearson, so a 256-guess loop never
-	// touches the heap.
-	sel, sxy []int64
+	// clsSums is the 256×Points() class block, transformed in place.
+	clsSums []int64
 
 	// stage is the StageInput scratch buffer.
 	stage []byte
@@ -94,7 +91,7 @@ type Arena struct {
 
 // NewArena returns an arena for traces tagged with inputLen-byte inputs.
 func NewArena(inputLen int) *Arena {
-	return &Arena{inputLen: inputLen, pts: -1, clsIdx: -1}
+	return &Arena{inputLen: inputLen, pts: -1}
 }
 
 // Reset empties the arena, keeping every grown backing array for reuse.
@@ -133,7 +130,6 @@ func (a *Arena) Grow(n, pts int) {
 func (a *Arena) invalidate() {
 	a.pts = -1
 	a.colN = -1
-	a.clsIdx = -1
 }
 
 // Len returns the number of recorded traces.
@@ -206,19 +202,21 @@ func (a *Arena) Points() int {
 	return min
 }
 
-// colSums returns the cached per-point Σq and Σq² (int64, exact) over
-// the common prefix, recomputing when the set has grown.
-func (a *Arena) colSums() (sy, syy []int64) {
+// colSums returns the cached per-point Σq (exact) and √(nΣq² − (Σq)²)
+// over the common prefix, recomputing when the set has grown.
+func (a *Arena) colSums() (sy []int64, ydev []float64) {
 	pts := a.Points()
 	if a.colN == a.Len() && len(a.sy) == pts {
-		return a.sy, a.syy
+		return a.sy, a.ydev
 	}
 	if cap(a.sy) < pts {
 		a.sy = make([]int64, pts)
 		a.syy = make([]int64, pts)
+		a.ydev = make([]float64, pts)
 	}
 	a.sy = a.sy[:pts]
 	a.syy = a.syy[:pts]
+	a.ydev = a.ydev[:pts]
 	clear(a.sy)
 	clear(a.syy)
 	for i := 0; i < a.Len(); i++ {
@@ -229,156 +227,165 @@ func (a *Arena) colSums() (sy, syy []int64) {
 			a.syy[j] += y * y
 		}
 	}
-	a.colN = a.Len()
-	return a.sy, a.syy
-}
-
-// QClassSums groups the arena's traces by the value of input byte
-// byteIdx: 256 per-class sum vectors (int64, exact) in one contiguous
-// block, plus per-class trace counts and the all-class total per point.
-// One grouping is cached; regrouping by another byte index or after an
-// extension overwrites it in place.
-type QClassSums struct {
-	a   *Arena
-	pts int
-	n   int
-}
-
-// ClassSumsFor returns the (cached) class grouping for input byte
-// byteIdx. The grouping pass costs one walk of the trace matrix and then
-// serves all 256 key guesses of both DPA and CPA.
-func (a *Arena) ClassSumsFor(byteIdx int) QClassSums {
-	pts := a.Points()
-	cs := QClassSums{a: a, pts: pts, n: a.Len()}
-	if a.clsIdx == byteIdx && a.clsN == a.Len() && len(a.clsSums) == 256*pts {
-		return cs
+	n := float64(a.Len())
+	for j := range a.ydev {
+		a.ydev[j] = math.Sqrt(n*float64(a.syy[j]) - float64(a.sy[j])*float64(a.sy[j]))
 	}
+	a.colN = a.Len()
+	return a.sy, a.ydev
+}
+
+// groupBy sums the traces into the 256×Points() class block by input
+// byte byteIdx: row v holds Σq over the traces whose byte is v, and
+// count[v] their number. The kernels transform the block in place, so
+// every call regroups.
+func (a *Arena) groupBy(byteIdx int, count *[256]int64) []int64 {
+	pts := a.Points()
 	if cap(a.clsSums) < 256*pts {
 		a.clsSums = make([]int64, 256*pts)
 	}
-	if cap(a.totSums) < pts {
-		a.totSums = make([]int64, pts)
-	}
 	a.clsSums = a.clsSums[:256*pts]
-	a.totSums = a.totSums[:pts]
 	clear(a.clsSums)
-	clear(a.totSums)
-	for i := range a.clsCount {
-		a.clsCount[i] = 0
-	}
+	*count = [256]int64{}
 	for i := 0; i < a.Len(); i++ {
 		v := a.inputs[i*a.inputLen+byteIdx]
-		a.clsCount[v]++
-		dst := a.clsSums[int(v)*pts:][:pts]
+		count[v]++
 		tr := a.qs[a.offs[i]:][:pts]
+		dst := a.clsSums[int(v)*pts:][:len(tr)]
 		for j, q := range tr {
 			dst[j] += int64(q)
-			a.totSums[j] += int64(q)
 		}
 	}
-	a.clsIdx = byteIdx
-	a.clsN = a.Len()
-	return cs
+	return a.clsSums
 }
 
-// DifferenceOfMeans returns the maximum absolute difference of mean
-// traces between the selected classes and the rest — Kocher's DPA
-// distinguisher in batched form. Because the class sums are exact
-// integers, the unselected partition is the total minus the selected sum
-// (no second accumulation pass), and the result still equals the naive
-// two-partition float64 walk bit for bit.
-func (cs QClassSums) DifferenceOfMeans(selected *[256]bool) float64 {
-	a, pts := cs.a, cs.pts
+// XorTable is a per-class model f for all-guess analysis: under key
+// guess k, a trace whose input byte is v carries the value f(v⊕k). It
+// holds the Walsh–Hadamard (WHT) spectra of f and f².
+type XorTable struct {
+	wf, wf2 [256]int64
+}
+
+// NewXorTable prepares f, whose entries must lie in [-8, 8] (the
+// exactness envelope on Quantize).
+func NewXorTable(f *[256]int64) *XorTable {
+	t := &XorTable{}
+	for u, x := range f {
+		t.wf[u], t.wf2[u] = x, x*x
+	}
+	wht(t.wf[:], 1)
+	wht(t.wf2[:], 1)
+	return t
+}
+
+// wht applies the unnormalised WHT across the 256 rows of the 256×pts
+// block s (row v at v*pts), in place. Its eight butterfly stages
+// (a, b) → (a+b, a−b) run fused in pairs over four rows at a time, so
+// the block is swept four times, not eight.
+func wht(s []int64, pts int) {
+	for h := 1; h < 256; h *= 4 {
+		for base := 0; base < 256; base += 4 * h {
+			for r := base; r < base+h; r++ {
+				x0 := s[r*pts:][:pts]
+				x1 := s[(r+h)*pts:][:pts]
+				x2 := s[(r+2*h)*pts:][:pts]
+				x3 := s[(r+3*h)*pts:][:pts]
+				for j, a := range x0 {
+					b, c, d := x1[j], x2[j], x3[j]
+					ab, amb, cd, cmd := a+b, a-b, c+d, c-d
+					x0[j], x1[j], x2[j], x3[j] = ab+cd, amb+cmd, ab-cd, amb-cmd
+				}
+			}
+		}
+	}
+}
+
+// xorCorrelate replaces row k of the 256×pts block s by Σ_v f(v⊕k)·s[v]
+// for all k at once, wf being the WHT of f: transform, multiply
+// pointwise, transform again and divide by 256, which is exact (see
+// Quantize) — O(256·8·pts) instead of the direct O(256²·pts) sum.
+func xorCorrelate(s []int64, pts int, wf *[256]int64) {
+	wht(s, pts)
+	for w, c := range wf {
+		row := s[w*pts:][:pts]
+		for j := range row {
+			row[j] *= c
+		}
+	}
+	wht(s, pts)
+	for i := range s {
+		s[i] /= 256
+	}
+}
+
+// XorDifferenceOfMeans is Kocher's DPA distinguisher for all 256 key
+// guesses of input byte byteIdx at once: out[k] is the maximum absolute
+// difference of mean traces between the traces whose byte v has
+// f(v⊕k) = 1 (sel must be 0/1-valued) and the rest. The selected sums and
+// counts are exact integers and the rest is total minus selected, so the
+// float64 steps see the operands of TraceSet.DifferenceOfMeans under that
+// selector and the result is bit-identical.
+func (a *Arena) XorDifferenceOfMeans(byteIdx int, sel *XorTable, out *[256]float64) {
+	*out = [256]float64{}
+	pts, n := a.Points(), int64(a.Len())
 	if pts == 0 {
-		return 0
+		return
 	}
-	var n1 int64
-	for v := 0; v < 256; v++ {
-		if selected[v] {
-			n1 += int64(a.clsCount[v])
-		}
-	}
-	n0 := int64(cs.n) - n1
-	if n0 == 0 || n1 == 0 {
-		return 0
-	}
-	if cap(a.sel) < pts {
-		a.sel = make([]int64, pts)
-	}
-	a.sel = a.sel[:pts]
-	clear(a.sel)
-	for v := 0; v < 256; v++ {
-		if !selected[v] || a.clsCount[v] == 0 {
+	tot, _ := a.colSums()
+	var n1 [256]int64
+	s1 := a.groupBy(byteIdx, &n1)
+	xorCorrelate(s1, pts, &sel.wf)
+	xorCorrelate(n1[:], 1, &sel.wf)
+	for k := range out {
+		n0 := n - n1[k]
+		if n0 == 0 || n1[k] == 0 {
 			continue
 		}
-		src := a.clsSums[v*pts:][:pts]
-		for j, x := range src {
-			a.sel[j] += x
+		f1, f0 := float64(n1[k]), float64(n0)
+		best := 0.0
+		for j, s := range s1[k*pts:][:pts] {
+			d := math.Abs(float64(s)/f1 - float64(tot[j]-s)/f0)
+			if d > best {
+				best = d
+			}
 		}
+		out[k] = best / Scale
 	}
-	f1, f0 := float64(n1), float64(n0)
-	best := 0.0
-	for j := 0; j < pts; j++ {
-		s1 := a.sel[j]
-		d := math.Abs(float64(s1)/f1 - float64(a.totSums[j]-s1)/f0)
-		if d > best {
-			best = d
-		}
-	}
-	return best / Scale
 }
 
-// MaxAbsPearson returns the largest |Pearson correlation| across all
-// points for the per-class hypothesis hyp (one model value per possible
-// input-byte value) — the CPA distinguisher in batched form. The
-// hypothesis for trace i depends on i only through its class, so Σx,
-// Σx² and Σxy all collapse onto the 256 class sums: one guess costs a
-// 256×points walk of contiguous int64 blocks instead of an n×points walk
-// of the trace matrix, and exact integer arithmetic keeps the statistic
-// bit-identical to TraceSet.MaxAbsPearson on the dequantized traces.
-func (cs QClassSums) MaxAbsPearson(hyp *[256]int64) float64 {
-	a, pts := cs.a, cs.pts
-	n := float64(cs.n)
-	if cs.n < 2 || pts == 0 {
-		return 0
+// XorMaxAbsPearson is the CPA distinguisher for all 256 key guesses of
+// input byte byteIdx at once: out[k] is the largest |Pearson correlation|
+// across points with the per-trace hypothesis f(v⊕k), bit-identical to
+// TraceSet.MaxAbsPearson. Σxy is the XOR-correlation of the class sums
+// with f, Σx and Σx² those of the class counts with f and f².
+func (a *Arena) XorMaxAbsPearson(byteIdx int, hyp *XorTable, out *[256]float64) {
+	*out = [256]float64{}
+	pts, nt := a.Points(), a.Len()
+	if nt < 2 || pts == 0 {
+		return
 	}
-	var sx, sxx int64
-	for v := 0; v < 256; v++ {
-		c := int64(a.clsCount[v])
-		if c == 0 {
-			continue
+	sy, ydev := a.colSums()
+	var sx [256]int64
+	sxy := a.groupBy(byteIdx, &sx)
+	sxx := sx
+	xorCorrelate(sxy, pts, &hyp.wf)
+	xorCorrelate(sx[:], 1, &hyp.wf)
+	xorCorrelate(sxx[:], 1, &hyp.wf2)
+	n := float64(nt)
+	for k := range out {
+		fsx := float64(sx[k])
+		hden := math.Sqrt(n*float64(sxx[k]) - fsx*fsx)
+		best := 0.0
+		for j, s := range sxy[k*pts:][:pts] {
+			num := n*float64(s) - fsx*float64(sy[j])
+			den := hden * ydev[j]
+			if den == 0 {
+				continue
+			}
+			if r := math.Abs(num / den); r > best {
+				best = r
+			}
 		}
-		sx += c * hyp[v]
-		sxx += c * hyp[v] * hyp[v]
+		out[k] = best
 	}
-	hden := math.Sqrt(n*float64(sxx) - float64(sx)*float64(sx))
-	if cap(a.sxy) < pts {
-		a.sxy = make([]int64, pts)
-	}
-	a.sxy = a.sxy[:pts]
-	clear(a.sxy)
-	for v := 0; v < 256; v++ {
-		h := hyp[v]
-		if h == 0 || a.clsCount[v] == 0 {
-			continue
-		}
-		src := a.clsSums[v*pts:][:pts]
-		for j, s := range src {
-			a.sxy[j] += h * s
-		}
-	}
-	sy, syy := a.colSums()
-	fsx := float64(sx)
-	best := 0.0
-	for j := 0; j < pts; j++ {
-		num := n*float64(a.sxy[j]) - fsx*float64(sy[j])
-		den := hden * math.Sqrt(n*float64(syy[j])-float64(sy[j])*float64(sy[j]))
-		if den == 0 {
-			continue
-		}
-		if r := math.Abs(num / den); r > best {
-			best = r
-		}
-	}
-	return best
 }

@@ -92,10 +92,59 @@ func TestArenaRecordingMatchesNaive(t *testing.T) {
 	}
 }
 
+// randomTable draws a per-class model table with entries in [0, max].
+func randomTable(rng *rand.Rand, max int) *[256]int64 {
+	var f [256]int64
+	for u := range f {
+		f[u] = int64(rng.Intn(max + 1))
+	}
+	return &f
+}
+
+// checkDoMAllGuesses asserts the all-guess DPA kernel against both naive
+// references: for every shift k, out[k] must equal
+// TraceSet.DifferenceOfMeans under the selector f(v⊕k) and the grouped
+// ClassSums.DifferenceOfMeans under the class selection f(v⊕k), bit for
+// bit. Shift 0 is the arbitrary selection f itself.
+func checkDoMAllGuesses(t *testing.T, what string, ts *TraceSet, a *Arena, byteIdx int, f *[256]int64) {
+	t.Helper()
+	var out [256]float64
+	a.XorDifferenceOfMeans(byteIdx, NewXorTable(f), &out)
+	ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][byteIdx] })
+	for k := 0; k < 256; k++ {
+		want := ts.DifferenceOfMeans(func(i int) bool { return f[ts.Inputs[i][byteIdx]^byte(k)] == 1 })
+		grouped := ncs.DifferenceOfMeans(func(v uint8) bool { return f[v^byte(k)] == 1 })
+		if math.Float64bits(out[k]) != math.Float64bits(want) || math.Float64bits(grouped) != math.Float64bits(want) {
+			t.Fatalf("%s: DifferenceOfMeans shift %d: arena %v (%#x), grouped %v (%#x), naive %v (%#x)",
+				what, k, out[k], math.Float64bits(out[k]), grouped, math.Float64bits(grouped), want, math.Float64bits(want))
+		}
+	}
+}
+
+// checkPearsonAllGuesses asserts the all-guess CPA kernel against the
+// naive per-trace reference: for every shift k, out[k] must equal
+// TraceSet.MaxAbsPearson under the hypothesis f(v⊕k) bit for bit.
+func checkPearsonAllGuesses(t *testing.T, what string, ts *TraceSet, a *Arena, byteIdx int, f *[256]int64) {
+	t.Helper()
+	var out [256]float64
+	a.XorMaxAbsPearson(byteIdx, NewXorTable(f), &out)
+	h := make([]float64, ts.Len())
+	for k := 0; k < 256; k++ {
+		for i := range h {
+			h[i] = float64(f[ts.Inputs[i][byteIdx]^byte(k)])
+		}
+		want := ts.MaxAbsPearson(h)
+		if math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("%s: MaxAbsPearson shift %d: arena %v (%#x) != naive %v (%#x)",
+				what, k, out[k], math.Float64bits(out[k]), want, math.Float64bits(want))
+		}
+	}
+}
+
 // TestDifferenceOfMeansEquivalence is the DPA-kernel property test:
-// randomized trace sets, randomized selected-class sets, both partition
-// shapes and both jitter regimes — batched result bit-identical to the
-// naive grouped float64 reference.
+// randomized trace sets, randomized 0/1 selector tables (so shift 0 is an
+// arbitrary class selection), both jitter regimes — every one of the 256
+// guesses bit-identical to the naive per-trace float64 reference.
 func TestDifferenceOfMeansEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -112,38 +161,27 @@ func TestDifferenceOfMeansEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, a := recordPair(tc.seed, tc.traces, 30, tc.jitter, tc.sigma)
-			ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][tc.byteIdx] })
-			qcs := a.ClassSumsFor(tc.byteIdx)
-
 			srng := rand.New(rand.NewSource(tc.seed * 7))
-			var sel [256]bool
-			for trial := 0; trial < 64; trial++ {
-				for v := range sel {
-					sel[v] = srng.Intn(2) == 1
-				}
-				got := qcs.DifferenceOfMeans(&sel)
-				want := ncs.DifferenceOfMeans(func(v uint8) bool { return sel[v] })
-				eqBits(t, "DifferenceOfMeans", got, want)
+			for trial := 0; trial < 4; trial++ {
+				checkDoMAllGuesses(t, "random selector", ts, a, tc.byteIdx, randomTable(srng, 1))
 			}
 
 			// Degenerate partitions: empty and full selections are 0 on
-			// both paths.
-			for v := range sel {
-				sel[v] = false
+			// both paths, at every shift.
+			var none, all [256]int64
+			for u := range all {
+				all[u] = 1
 			}
-			eqBits(t, "empty selection", qcs.DifferenceOfMeans(&sel), 0)
-			for v := range sel {
-				sel[v] = true
-			}
-			eqBits(t, "full selection", qcs.DifferenceOfMeans(&sel), 0)
+			checkDoMAllGuesses(t, "empty selection", ts, a, tc.byteIdx, &none)
+			checkDoMAllGuesses(t, "full selection", ts, a, tc.byteIdx, &all)
 		})
 	}
 }
 
 // TestMaxAbsPearsonEquivalence is the CPA-kernel property test:
-// randomized trace sets and randomized per-class integer hypotheses —
-// batched class-collapsed Pearson bit-identical to the naive per-trace
-// float64 reference.
+// randomized trace sets and randomized per-class integer hypothesis
+// tables — every one of the 256 guesses bit-identical to the naive
+// per-trace float64 reference.
 func TestMaxAbsPearsonEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -158,22 +196,9 @@ func TestMaxAbsPearsonEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, a := recordPair(tc.seed, tc.traces, 30, tc.jitter, tc.sigma)
-			const byteIdx = 5
-			qcs := a.ClassSumsFor(byteIdx)
-
 			hrng := rand.New(rand.NewSource(tc.seed * 13))
-			h := make([]float64, ts.Len())
-			var hyp [256]int64
-			for trial := 0; trial < 32; trial++ {
-				for v := range hyp {
-					hyp[v] = int64(hrng.Intn(9)) // HW-like range 0..8
-				}
-				for i := range h {
-					h[i] = float64(hyp[ts.Inputs[i][byteIdx]])
-				}
-				got := qcs.MaxAbsPearson(&hyp)
-				want := ts.MaxAbsPearson(h)
-				eqBits(t, "MaxAbsPearson", got, want)
+			for trial := 0; trial < 4; trial++ {
+				checkPearsonAllGuesses(t, "random hypothesis", ts, a, 5, randomTable(hrng, 8)) // HW-like 0..8
 			}
 		})
 	}
@@ -181,7 +206,8 @@ func TestMaxAbsPearsonEquivalence(t *testing.T) {
 
 // TestEquivalenceAcrossExtend pins the adaptive-escalation shape: record,
 // analyse, extend the same sets, analyse again — the arena's invalidated
-// caches must rebuild to bit-identical statistics at every checkpoint.
+// caches and regrouped class sums must give bit-identical statistics at
+// every checkpoint.
 func TestEquivalenceAcrossExtend(t *testing.T) {
 	mk := func() *Probe {
 		p := PowerProbe(1.2, 99)
@@ -193,14 +219,8 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 	a := NewArena(16)
 	vrng := rand.New(rand.NewSource(991))
 
-	var sel [256]bool
-	var hyp [256]int64
 	srng := rand.New(rand.NewSource(992))
-	for v := 0; v < 256; v++ {
-		sel[v] = srng.Intn(2) == 1
-		hyp[v] = int64(srng.Intn(9))
-	}
-	h := make([]float64, 0, 120)
+	sel, hyp := randomTable(srng, 1), randomTable(srng, 8)
 
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 40; i++ {
@@ -223,34 +243,159 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 		}
 
 		const byteIdx = 2
-		ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][byteIdx] })
-		qcs := a.ClassSumsFor(byteIdx)
-		eqBits(t, "DifferenceOfMeans after extend",
-			qcs.DifferenceOfMeans(&sel), ncs.DifferenceOfMeans(func(v uint8) bool { return sel[v] }))
-
-		h = h[:ts.Len()]
-		for i := range h {
-			h[i] = float64(hyp[ts.Inputs[i][byteIdx]])
-		}
-		eqBits(t, "MaxAbsPearson after extend",
-			qcs.MaxAbsPearson(&hyp), ts.MaxAbsPearson(h))
+		checkDoMAllGuesses(t, "after extend", ts, a, byteIdx, sel)
+		checkPearsonAllGuesses(t, "after extend", ts, a, byteIdx, hyp)
 	}
 }
 
-// TestTinySets pins the n<2 guards on both kernels.
+// TestEquivalenceAtRails pins the exactness envelope at its worst case:
+// every sample saturated at ±maxQ, at the largest trace count where the
+// float64 reference is still exact (n²·maxQ² < 2^53, so n = 2896). The
+// first points carry the same sign in every trace, which drives the class
+// sums and their Walsh–Hadamard transforms to their largest magnitudes;
+// the rest draw random signs. Both all-guess kernels must stay
+// bit-identical to the reference.
+func TestEquivalenceAtRails(t *testing.T) {
+	const n, pts, signed = 2896, 8, 3
+	if float64(n)*float64(n)*maxQ*maxQ >= 1<<53 {
+		t.Fatalf("n = %d is outside the float64 envelope", n)
+	}
+	ts := &TraceSet{}
+	a := NewArena(16)
+	p := PowerProbe(0, 1)
+	rng := rand.New(rand.NewSource(2896))
+	for i := 0; i < n; i++ {
+		input := make([]byte, 16)
+		rng.Read(input)
+		tr := make(Trace, pts)
+		rec := a.BeginTrace(p)
+		for j := range tr {
+			x := 1e9
+			if j >= signed && rng.Intn(2) == 0 {
+				x = -x
+			}
+			rec.record(x)
+			tr[j] = Dequant(Quantize(x))
+		}
+		a.EndTrace(input)
+		ts.Add(tr, input)
+	}
+	if q := a.Trace(0)[0]; q != maxQ {
+		t.Fatalf("sample not saturated: %d", q)
+	}
+	srng := rand.New(rand.NewSource(7))
+	checkDoMAllGuesses(t, "rails", ts, a, 9, randomTable(srng, 1))
+	var hw [256]int64
+	for u := range hw {
+		hw[u] = int64(HW(uint32(u)))
+	}
+	checkPearsonAllGuesses(t, "rails", ts, a, 9, &hw)
+}
+
+// TestTinySets pins the degenerate guards on both kernels: no points
+// (empty arena) and, for Pearson, fewer than two traces give 0 for every
+// guess.
 func TestTinySets(t *testing.T) {
 	a := NewArena(16)
-	var hyp [256]int64
-	hyp[0] = 1
-	cs := a.ClassSumsFor(0)
-	if got := cs.MaxAbsPearson(&hyp); got != 0 {
-		t.Errorf("empty arena Pearson = %v, want 0", got)
+	var f [256]int64
+	f[0] = 1
+	tab := NewXorTable(&f)
+	var out [256]float64
+	check := func(what string) {
+		t.Helper()
+		for k, s := range out {
+			if s != 0 {
+				t.Fatalf("%s: guess %d = %v, want 0", what, k, s)
+			}
+		}
 	}
-	var sel [256]bool
-	sel[0] = true
-	if got := cs.DifferenceOfMeans(&sel); got != 0 {
-		t.Errorf("empty arena DoM = %v, want 0", got)
-	}
+	a.XorMaxAbsPearson(0, tab, &out)
+	check("empty arena Pearson")
+	a.XorDifferenceOfMeans(0, tab, &out)
+	check("empty arena DoM")
+
+	rec := a.BeginTrace(PowerProbe(0.5, 1))
+	rec.Leak(3)
+	a.EndTrace(make([]byte, 16))
+	out[0] = 1
+	a.XorMaxAbsPearson(0, tab, &out)
+	check("one-trace Pearson")
+}
+
+// FuzzXorCorrelate checks the in-place Walsh–Hadamard XOR-correlation
+// against the direct O(256²·points) sum with exact int64 equality, on
+// random class counts summing to n < 2^21, random class sums within the
+// int16-rail envelope (|S[v]| <= count[v]·maxQ) and a random table with
+// entries in [-8, 8] — the whole envelope documented on Quantize.
+func FuzzXorCorrelate(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint32(96))
+	f.Add(int64(2), uint8(1), uint32(1500))
+	f.Add(int64(3), uint8(0), uint32(0))
+	f.Add(int64(4), uint8(7), uint32(1<<21-1))
+	f.Fuzz(func(t *testing.T, seed int64, ptsIn uint8, nIn uint32) {
+		pts := 1 + int(ptsIn%8)
+		n := int(nIn % (1 << 21))
+		rng := rand.New(rand.NewSource(seed))
+
+		var count [256]int64
+		for i := 0; i < n && i < 4096; i++ {
+			count[rng.Intn(256)]++
+		}
+		if n > 4096 { // the rest in bulk, still summing to n
+			rest := n - 4096
+			for rest > 0 {
+				c := rng.Intn(rest + 1)
+				count[rng.Intn(256)] += int64(c)
+				rest -= c
+			}
+		}
+		s := make([]int64, 256*pts)
+		for v := 0; v < 256; v++ {
+			for j := 0; j < pts; j++ {
+				lim := count[v] * maxQ
+				switch rng.Intn(3) {
+				case 0:
+					s[v*pts+j] = lim
+				case 1:
+					s[v*pts+j] = -lim
+				default:
+					s[v*pts+j] = rng.Int63n(2*lim+1) - lim
+				}
+			}
+		}
+		var tab [256]int64
+		for u := range tab {
+			tab[u] = int64(rng.Intn(17) - 8)
+		}
+		xt := NewXorTable(&tab)
+
+		want := make([]int64, 256*pts)
+		var wantN, wantN2 [256]int64
+		for k := 0; k < 256; k++ {
+			for v := 0; v < 256; v++ {
+				fv := tab[v^k]
+				wantN[k] += fv * count[v]
+				wantN2[k] += fv * fv * count[v]
+				for j := 0; j < pts; j++ {
+					want[k*pts+j] += fv * s[v*pts+j]
+				}
+			}
+		}
+
+		xorCorrelate(s, pts, &xt.wf)
+		for i := range s {
+			if s[i] != want[i] {
+				t.Fatalf("class sums: guess %d point %d: transform %d != direct %d",
+					i/pts, i%pts, s[i], want[i])
+			}
+		}
+		c2 := count
+		xorCorrelate(count[:], 1, &xt.wf)
+		xorCorrelate(c2[:], 1, &xt.wf2)
+		if count != wantN || c2 != wantN2 {
+			t.Fatalf("class counts: transform differs from direct sum")
+		}
+	})
 }
 
 // TestQuantizeGrid pins the ADC model: round-to-nearest on the 1/Scale
